@@ -23,6 +23,7 @@
 #include "bench/bench_util.h"
 #include "bench/table_runner.h"
 #include "common/obs.h"
+#include "index/segmented_index.h"
 #include "query/engine.h"
 
 namespace {
@@ -57,6 +58,12 @@ int main(int argc, char** argv) {
     return 1;
   }
   BenchEnv env = std::move(env_result).value();
+  // The engine reads the cached index.tix adopted in place as segment 0.
+  auto segmented = tix::index::SegmentedIndex::Open(dir);
+  if (!segmented.ok()) {
+    std::fprintf(stderr, "%s\n", segmented.status().ToString().c_str());
+    return 1;
+  }
 
   const tix::algebra::IrPredicate two_term =
       TwoTermPredicate(Table1Term(1, freq), Table1Term(2, freq));
@@ -100,8 +107,8 @@ int main(int argc, char** argv) {
         [&]() -> tix::Status {
           tix::query::EngineOptions options;
           options.collect_metrics = with_metrics;
-          tix::query::QueryEngine engine(env.db.get(), env.index.get(),
-                                         options);
+          tix::query::QueryEngine engine(
+              env.db.get(), segmented.value()->Acquire(), options);
           auto result = engine.ExecuteText(query_text);
           if (result.ok() && outputs != nullptr) {
             *outputs = result.value().results.size();
@@ -145,7 +152,8 @@ int main(int argc, char** argv) {
   {
     tix::query::EngineOptions options;
     options.collect_metrics = true;
-    tix::query::QueryEngine engine(env.db.get(), env.index.get(), options);
+    tix::query::QueryEngine engine(env.db.get(), segmented.value()->Acquire(),
+                                   options);
     auto result = engine.ExecuteText(query_text);
     if (result.ok() && result.value().plan.has_value()) {
       example_plan = tix::obs::RenderJson(*result.value().plan);

@@ -37,7 +37,7 @@
 #include "bench/bench_util.h"
 #include "common/string_util.h"
 #include "common/timer.h"
-#include "index/inverted_index.h"
+#include "index/segmented_index.h"
 #include "query/engine.h"
 #include "server/client.h"
 #include "server/server.h"
@@ -109,7 +109,7 @@ class Endpoint {
 class InProcessEndpoint : public Endpoint {
  public:
   InProcessEndpoint(tix::storage::Database* db,
-                    const tix::index::InvertedIndex* index, size_t max_clients,
+                    tix::index::SegmentedIndex* index, size_t max_clients,
                     size_t cache_bytes) {
     tix::server::ServerOptions options;
     options.session_threads = max_clients;
@@ -264,6 +264,13 @@ int main(int argc, char** argv) {
     return 1;
   }
   BenchEnv env = std::move(env_result).value();
+  // The in-process server reads the cached index.tix adopted in place as
+  // segment 0, as tixd does.
+  auto segmented = tix::index::SegmentedIndex::Open(dir);
+  if (!segmented.ok()) {
+    std::fprintf(stderr, "%s\n", segmented.status().ToString().c_str());
+    return 1;
+  }
   const std::vector<std::string> pool = BuildQueryPool(env.num_articles);
   const unsigned visible_cpus = std::thread::hardware_concurrency();
 
@@ -284,13 +291,13 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "%s\n", db.status().ToString().c_str());
         return 1;
       }
-      auto index =
-          tix::index::InvertedIndex::LoadFromFile(dir + "/index.tix");
+      auto index = tix::index::SegmentedIndex::Open(dir);
       if (!index.ok()) {
         std::fprintf(stderr, "%s\n", index.status().ToString().c_str());
         return 1;
       }
-      tix::query::QueryEngine engine(db.value().get(), &index.value());
+      tix::query::QueryEngine engine(db.value().get(),
+                                     index.value()->Acquire());
       auto output = engine.ExecuteText(pool[op % pool.size()]);
       if (!output.ok()) {
         std::fprintf(stderr, "%s\n", output.status().ToString().c_str());
@@ -318,7 +325,7 @@ int main(int argc, char** argv) {
   const auto make_endpoint = [&](size_t cache_bytes) {
     return tixd_path.empty()
                ? std::unique_ptr<Endpoint>(std::make_unique<InProcessEndpoint>(
-                     env.db.get(), env.index.get(),
+                     env.db.get(), segmented.value().get(),
                      static_cast<size_t>(max_clients) + 4, cache_bytes))
                : std::unique_ptr<Endpoint>(std::make_unique<ExternalEndpoint>(
                      tixd_path, dir, static_cast<size_t>(max_clients) + 4,

@@ -47,6 +47,7 @@
 #include "common/string_util.h"
 #include "common/timer.h"
 #include "index/inverted_index.h"
+#include "index/segmented_index.h"
 #include "server/client.h"
 #include "server/coordinator.h"
 #include "server/server.h"
@@ -135,15 +136,18 @@ class InProcessFleet : public FleetEndpoint {
     for (size_t i = 0; i < n; ++i) {
       tix::storage::DatabaseOptions db_options;
       db_options.buffer_pool_pages = 1024;
-      auto db = tix::storage::Database::Create(
-          dir + tix::StrFormat("/s%zu_%zu", n, i), db_options);
+      const std::string shard_dir = dir + tix::StrFormat("/s%zu_%zu", n, i);
+      auto db = tix::storage::Database::Create(shard_dir, db_options);
       Check(db.status(), "create shard db");
       Check(IngestShard(db.value().get(), spec, i, n), "ingest shard");
       auto index = tix::index::InvertedIndex::Build(db.value().get());
       Check(index.status(), "build shard index");
+      Check(index.value().SaveToFile(shard_dir + "/index.tix"),
+            "save shard index");
+      auto segmented = tix::index::SegmentedIndex::Open(shard_dir);
+      Check(segmented.status(), "open shard index");
       dbs_.push_back(std::move(db.value()));
-      indexes_.push_back(std::make_unique<tix::index::InvertedIndex>(
-          std::move(index.value())));
+      indexes_.push_back(std::move(segmented.value()));
       tix::server::ServerOptions options;
       options.shard_id = static_cast<uint32_t>(i);
       options.shard_count = static_cast<uint32_t>(n);
@@ -180,7 +184,7 @@ class InProcessFleet : public FleetEndpoint {
   }
 
   std::vector<std::unique_ptr<tix::storage::Database>> dbs_;
-  std::vector<std::unique_ptr<tix::index::InvertedIndex>> indexes_;
+  std::vector<std::unique_ptr<tix::index::SegmentedIndex>> indexes_;
   std::vector<std::unique_ptr<tix::server::TixServer>> shards_;
   std::unique_ptr<tix::server::TixServer> coordinator_;
 };
@@ -350,14 +354,20 @@ int main(int argc, char** argv) {
       return 1;
     }
     auto index = tix::index::InvertedIndex::Build(db.value().get());
-    if (!index.ok()) {
+    if (!index.ok() ||
+        !index.value().SaveToFile(data_dir + "/single/index.tix").ok()) {
       std::fprintf(stderr, "baseline index failed\n");
       return 1;
     }
-    tix::index::InvertedIndex built = std::move(index.value());
+    auto segmented = tix::index::SegmentedIndex::Open(data_dir + "/single");
+    if (!segmented.ok()) {
+      std::fprintf(stderr, "baseline index open failed\n");
+      return 1;
+    }
     tix::server::ServerOptions options;
     options.result_cache_bytes = 0;
-    tix::server::TixServer server(db.value().get(), &built, options);
+    tix::server::TixServer server(db.value().get(), segmented.value().get(),
+                                  options);
     if (!server.Start().ok()) return 1;
     auto client =
         tix::server::Client::Connect("127.0.0.1", server.port());

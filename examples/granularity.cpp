@@ -13,6 +13,7 @@
 #include "exec/pick_operator.h"
 #include "exec/term_join.h"
 #include "index/inverted_index.h"
+#include "index/segmented_index.h"
 #include "query/engine.h"
 #include "storage/database.h"
 #include "workload/paper_example.h"
@@ -55,7 +56,13 @@ int main() {
   const tix::Status loaded = tix::workload::LoadPaperExample(db.get());
   if (!loaded.ok()) Die(loaded);
   auto index = Check(tix::index::InvertedIndex::Build(db.get()));
-  tix::query::QueryEngine engine(db.get(), &index);
+  // Serve the index the one way the engine reads one: saved as
+  // index.tix and adopted in place by SegmentedIndex::Open as segment 0.
+  const tix::Status saved = index.SaveToFile("/tmp/tix_granularity/index.tix");
+  if (!saved.ok()) Die(saved);
+  auto segmented =
+      Check(tix::index::SegmentedIndex::Open("/tmp/tix_granularity"));
+  tix::query::QueryEngine engine(db.get(), segmented->Acquire());
 
   std::printf("Same query, different granularity policies:\n\n");
   RunWith(engine, *db, "no pick (all components)", "");

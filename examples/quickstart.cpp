@@ -11,6 +11,7 @@
 #include <cstdlib>
 
 #include "index/inverted_index.h"
+#include "index/segmented_index.h"
 #include "query/engine.h"
 #include "storage/database.h"
 #include "workload/paper_example.h"
@@ -51,9 +52,16 @@ int main() {
               static_cast<unsigned long long>(index.stats().num_terms),
               static_cast<unsigned long long>(index.stats().num_postings));
 
+  // Serve the index the one way the engine reads one: saved as
+  // index.tix and adopted in place by SegmentedIndex::Open as segment 0.
+  const tix::Status saved = index.SaveToFile("/tmp/tix_quickstart/index.tix");
+  if (!saved.ok()) Die(saved);
+  auto segmented =
+      Check(tix::index::SegmentedIndex::Open("/tmp/tix_quickstart"));
+
   // 3. Run Query 1. The engine evaluates the IR part with the TermJoin
   //    access method and applies Threshold for the final cut.
-  tix::query::QueryEngine engine(db.get(), &index);
+  tix::query::QueryEngine engine(db.get(), segmented->Acquire());
   const auto output = Check(engine.ExecuteText(kQuery1));
 
   std::printf("\nQuery 1 returned %zu results:\n\n", output.results.size());

@@ -13,6 +13,7 @@
 #include "exec/structural_join.h"
 #include "exec/term_join.h"
 #include "index/inverted_index.h"
+#include "index/segmented_index.h"
 #include "query/engine.h"
 #include "query/similarity_join.h"
 #include "storage/database.h"
@@ -123,7 +124,14 @@ int main(int argc, char** argv) {
 
   // The same join, written in the query language (SIMJOIN clause) —
   // scoped to one article document per FLWR iteration.
-  tix::query::QueryEngine engine(db.get(), &index);
+  // Serve the index the one way the engine reads one: saved as
+  // index.tix and adopted in place by SegmentedIndex::Open as segment 0.
+  const tix::Status saved =
+      index.SaveToFile("/tmp/tix_similarity_join/index.tix");
+  if (!saved.ok()) Die(saved);
+  auto segmented =
+      Check(tix::index::SegmentedIndex::Open("/tmp/tix_similarity_join"));
+  tix::query::QueryEngine engine(db.get(), segmented->Acquire());
   const auto language = Check(engine.ExecuteText(R"(
       FOR $a IN document("article0.xml")//article
       FOR $b IN document("reviews.xml")//review

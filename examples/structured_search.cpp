@@ -11,6 +11,7 @@
 #include "common/string_util.h"
 #include "common/timer.h"
 #include "index/inverted_index.h"
+#include "index/segmented_index.h"
 #include "query/engine.h"
 #include "storage/database.h"
 #include "workload/corpus.h"
@@ -69,10 +70,18 @@ int main(int argc, char** argv) {
     RETURN $a
   )";
 
+  // Serve the index the one way the engine reads one: saved as
+  // index.tix and adopted in place by SegmentedIndex::Open as segment 0.
+  const tix::Status saved =
+      index.SaveToFile("/tmp/tix_structured_search/index.tix");
+  if (!saved.ok()) Die(saved);
+  auto segmented =
+      Check(tix::index::SegmentedIndex::Open("/tmp/tix_structured_search"));
+
   // Run the same query against every article that has a "doe" author.
   // (The engine scopes a query to one document; the loop is the FLWR
   // iteration over the collection.)
-  tix::query::QueryEngine engine(db.get(), &index);
+  tix::query::QueryEngine engine(db.get(), segmented->Acquire());
   timer.Restart();
   size_t docs_with_doe = 0;
   size_t total_results = 0;

@@ -17,6 +17,7 @@
 #include <string>
 
 #include "index/inverted_index.h"
+#include "index/segmented_index.h"
 #include "query/engine.h"
 #include "storage/database.h"
 #include "workload/paper_example.h"
@@ -67,7 +68,12 @@ int main(int argc, char** argv) {
       "  THRESHOLD STOP AFTER 3\n"
       "  RETURN $a\n\n");
 
-  tix::query::QueryEngine engine(db.get(), &index);
+  // Serve the index the one way the engine reads one: saved as
+  // index.tix and adopted in place by SegmentedIndex::Open as segment 0.
+  const tix::Status saved = index.SaveToFile("/tmp/tix_repl/index.tix");
+  if (!saved.ok()) Die(saved);
+  auto segmented = Check(tix::index::SegmentedIndex::Open("/tmp/tix_repl"));
+  tix::query::QueryEngine engine(db.get(), segmented->Acquire());
   std::string buffer;
   std::string line;
   std::printf("tix> ");

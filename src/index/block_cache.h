@@ -27,8 +27,8 @@
 
 namespace tix::index {
 
-/// Default capacity applied by QueryEngine when EngineOptions does not
-/// override it (tix_cli --block-cache-mb).
+/// Capacity until Configure is called (tixd and tix_cli call it once at
+/// startup from --block-cache-mb).
 inline constexpr size_t kDefaultBlockCacheBytes = 16u << 20;
 
 /// One decoded skip block. Fixed-size: the final, shorter block of a
@@ -64,10 +64,9 @@ class DecodedBlockCache {
   /// unstored) so a reset list cannot alias another list's entries.
   static uint64_t NextListId();
 
-  /// Sets the capacity, evicting LRU entries if it shrank. Equal
-  /// capacity is a cheap no-op, so every QueryEngine construction may
-  /// call this. Capacity 0 disables the cache (Lookup misses, Insert
-  /// passes blocks through unstored).
+  /// Sets the capacity, evicting LRU entries if it shrank; equal
+  /// capacity is a cheap no-op. Capacity 0 disables the cache (Lookup
+  /// misses, Insert passes blocks through unstored).
   void Configure(size_t capacity_bytes);
   size_t capacity_bytes() const {
     return capacity_bytes_.load(std::memory_order_relaxed);

@@ -101,10 +101,9 @@ Result<std::vector<exec::ScoredElement>> ToElements(
 }
 
 /// Copies a join's merged and per-partition statistics onto its EXPLAIN
-/// span (no-op when the span is disabled). Works for any join exposing
-/// the ParallelTermJoin interface — SegmentedTermJoin mirrors it.
-template <typename Join>
-void AttachTermJoinStats(obs::OperatorSpan* span, const Join& join) {
+/// span (no-op when the span is disabled).
+void AttachTermJoinStats(obs::OperatorSpan* span,
+                         const exec::SegmentedTermJoin& join) {
   obs::OperatorMetrics* node = span->mutable_node();
   if (node == nullptr) return;
   const exec::TermJoinStats& stats = join.stats();
@@ -169,14 +168,8 @@ Status QueryEngine::CheckDeadline(const char* stage) const {
   return Status::OK();
 }
 
-double QueryEngine::TermIdf(std::string_view term) const {
-  return snapshot_ != nullptr ? snapshot_->InverseDocumentFrequency(term)
-                              : index_->InverseDocumentFrequency(term);
-}
-
 Result<storage::DocumentInfo> QueryEngine::ResolveDocument(
     const std::string& name) const {
-  if (snapshot_ == nullptr) return db_->GetDocumentByName(name);
   for (const storage::DocumentInfo& info : db_->documents()) {
     if (info.name == name && snapshot_->IsLiveDocument(info.doc_id)) {
       return info;
@@ -185,24 +178,72 @@ Result<storage::DocumentInfo> QueryEngine::ResolveDocument(
   return Status::NotFound("no document named '" + name + "'");
 }
 
+Result<std::vector<storage::NodeId>> QueryEngine::MatchBindings(
+    const std::vector<PathStep>& steps, size_t count,
+    const DocScope& scope) const {
+  std::vector<storage::NodeId> nodes;
+  if (count == 0) {
+    if (scope.doc.has_value()) return std::vector{scope.doc->root};
+    for (const storage::DocumentInfo& info : db_->documents()) {
+      if (InScope(scope, info.doc_id)) nodes.push_back(info.root);
+    }
+    std::sort(nodes.begin(), nodes.end());
+    return nodes;
+  }
+  std::vector<int> step_labels;
+  TIX_ASSIGN_OR_RETURN(const algebra::ScoredPatternTree pattern,
+                       BuildPattern(steps, count, &step_labels));
+  TIX_ASSIGN_OR_RETURN(const std::vector<algebra::Embedding> embeddings,
+                       algebra::MatchPattern(db_, pattern));
+  std::unordered_set<storage::NodeId> distinct;
+  for (const algebra::Embedding& embedding : embeddings) {
+    for (const auto& [label, node] : embedding) {
+      if (label != step_labels.back()) continue;
+      TIX_ASSIGN_OR_RETURN(const storage::NodeRecord record,
+                           db_->GetNode(node));
+      if (InScope(scope, record.doc_id)) distinct.insert(node);
+    }
+  }
+  nodes.assign(distinct.begin(), distinct.end());
+  std::sort(nodes.begin(), nodes.end());
+  return nodes;
+}
+
+obs::OperatorSpan QueryEngine::ScoringJoinSpan(
+    obs::OperatorMetrics* plan,
+    const std::optional<algebra::ThresholdSpec>& pushdown) const {
+  std::string detail = options_.enhanced_term_join ? "enhanced" : "plain";
+  if (options_.num_threads > 0) {
+    detail += StrFormat(", threads=%zu", options_.num_threads);
+  }
+  if (pushdown.has_value()) {
+    detail += StrFormat(", topk-pushdown(k=%zu)", *pushdown->top_k);
+  }
+  return obs::OperatorSpan(
+      plan, options_.num_threads > 0 ? "ParallelTermJoin" : "TermJoin",
+      std::move(detail));
+}
+
 Result<std::vector<exec::ScoredElement>> QueryEngine::RunScoringJoin(
     const algebra::IrPredicate& predicate, const algebra::Scorer& scorer,
-    const exec::ParallelTermJoinOptions& join_options,
-    obs::OperatorSpan* span) {
-  std::vector<exec::ScoredElement> scored;
-  if (snapshot_ != nullptr) {
-    exec::SegmentedTermJoin join(db_, snapshot_.get(), &predicate, &scorer,
-                                 join_options);
-    TIX_ASSIGN_OR_RETURN(scored, join.Run());
-    span->set_rows(scored.size());
-    AttachTermJoinStats(span, join);
-  } else {
-    exec::ParallelTermJoin join(db_, index_, &predicate, &scorer,
-                                join_options);
-    TIX_ASSIGN_OR_RETURN(scored, join.Run());
-    span->set_rows(scored.size());
-    AttachTermJoinStats(span, join);
+    const std::optional<algebra::ThresholdSpec>& pushdown,
+    exec::DocRange range, obs::OperatorSpan* span) {
+  exec::ParallelTermJoinOptions join_options;
+  join_options.join.enhanced = options_.enhanced_term_join;
+  join_options.join.deadline = &options_.deadline;
+  join_options.join.range = range;
+  join_options.num_threads = options_.num_threads;
+  if (pushdown.has_value()) {
+    join_options.join.threshold = pushdown;
+    // Cross-process floor sharing (a shard session sets these).
+    join_options.join.shared_floor = options_.shared_topk_floor;
+    join_options.join.floor_poll = options_.topk_floor_poll;
   }
+  exec::SegmentedTermJoin join(db_, snapshot_.get(), &predicate, &scorer,
+                               join_options);
+  TIX_ASSIGN_OR_RETURN(std::vector<exec::ScoredElement> scored, join.Run());
+  span->set_rows(scored.size());
+  AttachTermJoinStats(span, join);
   return scored;
 }
 
@@ -284,15 +325,10 @@ Result<QueryOutput> QueryEngine::ExecuteSelect(const Query& query,
   // document("*") targets every live document — the corpus-wide mode a
   // scatter-gather shard executes (docs/SHARDING.md). Every per-document
   // filter below widens to "any live document".
-  const bool all_documents = query.path.document == "*";
-  storage::DocumentInfo doc;
-  if (!all_documents) {
-    TIX_ASSIGN_OR_RETURN(doc, ResolveDocument(query.path.document));
+  DocScope scope;
+  if (query.path.document != "*") {
+    TIX_ASSIGN_OR_RETURN(scope.doc, ResolveDocument(query.path.document));
   }
-  auto in_scope = [&](storage::DocId doc_id) {
-    if (!all_documents) return doc_id == doc.doc_id;
-    return snapshot_ == nullptr || snapshot_->IsLiveDocument(doc_id);
-  };
 
   const std::vector<PathStep>& steps = query.path.steps;
   const PathStep& target_step = steps.back();
@@ -311,36 +347,8 @@ Result<QueryOutput> QueryEngine::ExecuteSelect(const Query& query,
     obs::OperatorSpan span(plan, "StructuralMatch",
                            steps.size() == 1 ? "document root"
                                              : "anchor pattern");
-    if (steps.size() == 1) {
-      if (all_documents) {
-        for (const storage::DocumentInfo& info : db_->documents()) {
-          if (in_scope(info.doc_id)) anchor_nodes.push_back(info.root);
-        }
-        std::sort(anchor_nodes.begin(), anchor_nodes.end());
-      } else {
-        anchor_nodes.push_back(doc.root);
-      }
-    } else {
-      std::vector<int> step_labels;
-      TIX_ASSIGN_OR_RETURN(
-          const algebra::ScoredPatternTree anchor_pattern,
-          BuildPattern(steps, steps.size() - 1, &step_labels));
-      TIX_ASSIGN_OR_RETURN(const std::vector<algebra::Embedding> embeddings,
-                           algebra::MatchPattern(db_, anchor_pattern));
-      const int anchor_label = step_labels.back();
-      std::unordered_set<storage::NodeId> distinct;
-      for (const algebra::Embedding& embedding : embeddings) {
-        for (const auto& [label, node] : embedding) {
-          if (label == anchor_label) {
-            TIX_ASSIGN_OR_RETURN(const storage::NodeRecord record,
-                                 db_->GetNode(node));
-            if (in_scope(record.doc_id)) distinct.insert(node);
-          }
-        }
-      }
-      anchor_nodes.assign(distinct.begin(), distinct.end());
-      std::sort(anchor_nodes.begin(), anchor_nodes.end());
-    }
+    TIX_ASSIGN_OR_RETURN(anchor_nodes,
+                         MatchBindings(steps, steps.size() - 1, scope));
     output.stats.anchors = anchor_nodes.size();
     span.set_rows(anchor_nodes.size());
     if (anchor_nodes.empty()) return output;
@@ -369,40 +377,25 @@ Result<QueryOutput> QueryEngine::ExecuteSelect(const Query& query,
     //    a global top-K over other documents would answer the wrong
     //    query. document("*") widens the restriction to every live
     //    document (the whole corpus), which is its meaning.
-    const bool pushdown =
+    pushed_down =
         options_.threshold_pushdown && threshold_spec.top_k.has_value() &&
         !query.pick.has_value() && steps.size() == 1 &&
         target_step.name == "*" && target_step.descendant &&
         !scorer->is_complex() && scorer->is_monotone();
-    pushed_down = pushdown;
+    std::optional<algebra::ThresholdSpec> pushdown;
+    exec::DocRange range;
+    if (pushed_down) {
+      pushdown = threshold_spec;
+      if (scope.doc.has_value()) {
+        range = exec::DocRange{scope.doc->doc_id, scope.doc->doc_id + 1};
+      }
+    }
 
     std::vector<exec::ScoredElement> all_scored;
     {
-      std::string detail = options_.enhanced_term_join ? "enhanced" : "plain";
-      if (options_.num_threads > 0) {
-        detail += StrFormat(", threads=%zu", options_.num_threads);
-      }
-      if (pushdown) {
-        detail += StrFormat(", topk-pushdown(k=%zu)", *threshold_spec.top_k);
-      }
-      obs::OperatorSpan span(
-          plan, options_.num_threads > 0 ? "ParallelTermJoin" : "TermJoin",
-          std::move(detail));
-      exec::ParallelTermJoinOptions join_options;
-      join_options.join.enhanced = options_.enhanced_term_join;
-      join_options.join.deadline = &options_.deadline;
-      join_options.num_threads = options_.num_threads;
-      if (pushdown) {
-        join_options.join.threshold = threshold_spec;
-        join_options.join.range =
-            all_documents ? exec::DocRange{}
-                          : exec::DocRange{doc.doc_id, doc.doc_id + 1};
-        // Cross-process floor sharing (a shard session sets these).
-        join_options.join.shared_floor = options_.shared_topk_floor;
-        join_options.join.floor_poll = options_.topk_floor_poll;
-      }
-      TIX_ASSIGN_OR_RETURN(
-          all_scored, RunScoringJoin(predicate, *scorer, join_options, &span));
+      obs::OperatorSpan span = ScoringJoinSpan(plan, pushdown);
+      TIX_ASSIGN_OR_RETURN(all_scored, RunScoringJoin(predicate, *scorer,
+                                                      pushdown, range, &span));
     }
     std::sort(all_scored.begin(), all_scored.end(), exec::DocumentOrderLess);
     TIX_RETURN_IF_ERROR(CheckDeadline("Scope"));
@@ -435,24 +428,8 @@ Result<QueryOutput> QueryEngine::ExecuteSelect(const Query& query,
   } else {
     // Boolean query: match the full pattern and return target bindings.
     obs::OperatorSpan span(plan, "StructuralMatch", "full pattern");
-    std::vector<int> step_labels;
-    TIX_ASSIGN_OR_RETURN(const algebra::ScoredPatternTree full_pattern,
-                         BuildPattern(steps, steps.size(), &step_labels));
-    TIX_ASSIGN_OR_RETURN(const std::vector<algebra::Embedding> embeddings,
-                         algebra::MatchPattern(db_, full_pattern));
-    const int target_label = step_labels.back();
-    std::unordered_set<storage::NodeId> distinct;
-    for (const algebra::Embedding& embedding : embeddings) {
-      for (const auto& [label, node] : embedding) {
-        if (label == target_label) {
-          TIX_ASSIGN_OR_RETURN(const storage::NodeRecord record,
-                               db_->GetNode(node));
-          if (in_scope(record.doc_id)) distinct.insert(node);
-        }
-      }
-    }
-    std::vector<storage::NodeId> nodes(distinct.begin(), distinct.end());
-    std::sort(nodes.begin(), nodes.end());
+    TIX_ASSIGN_OR_RETURN(const std::vector<storage::NodeId> nodes,
+                         MatchBindings(steps, steps.size(), scope));
     TIX_ASSIGN_OR_RETURN(scored, ToElements(db_, nodes));
     span.set_rows(scored.size());
   }
@@ -570,26 +547,9 @@ Result<QueryOutput> QueryEngine::ExecuteJoin(const Query& query,
   // path (no ad* target in join queries; the variable IS the last step).
   auto bindings = [&](const PathExpr& path)
       -> Result<std::vector<storage::NodeId>> {
-    TIX_ASSIGN_OR_RETURN(const storage::DocumentInfo doc,
-                         ResolveDocument(path.document));
-    std::vector<int> step_labels;
-    TIX_ASSIGN_OR_RETURN(
-        const algebra::ScoredPatternTree pattern,
-        BuildPattern(path.steps, path.steps.size(), &step_labels));
-    TIX_ASSIGN_OR_RETURN(const std::vector<algebra::Embedding> embeddings,
-                         algebra::MatchPattern(db_, pattern));
-    std::unordered_set<storage::NodeId> distinct;
-    for (const algebra::Embedding& embedding : embeddings) {
-      for (const auto& [label, node] : embedding) {
-        if (label != step_labels.back()) continue;
-        TIX_ASSIGN_OR_RETURN(const storage::NodeRecord record,
-                             db_->GetNode(node));
-        if (record.doc_id == doc.doc_id) distinct.insert(node);
-      }
-    }
-    std::vector<storage::NodeId> out(distinct.begin(), distinct.end());
-    std::sort(out.begin(), out.end());
-    return out;
+    DocScope scope;
+    TIX_ASSIGN_OR_RETURN(scope.doc, ResolveDocument(path.document));
+    return MatchBindings(path.steps, path.steps.size(), scope);
   };
   std::vector<storage::NodeId> left_anchors;
   std::vector<storage::NodeId> right_anchors;
@@ -639,24 +599,14 @@ Result<QueryOutput> QueryEngine::ExecuteJoin(const Query& query,
   // Best IR component score per left anchor (Query 3's $d/@score).
   std::unordered_map<storage::NodeId, double> ir_score;
   if (query.score.has_value()) {
-    std::string detail = options_.enhanced_term_join ? "enhanced" : "plain";
-    if (options_.num_threads > 0) {
-      detail += StrFormat(", threads=%zu", options_.num_threads);
-    }
-    obs::OperatorSpan span(
-        plan, options_.num_threads > 0 ? "ParallelTermJoin" : "TermJoin",
-        std::move(detail));
+    obs::OperatorSpan span = ScoringJoinSpan(plan, std::nullopt);
     algebra::IrPredicate predicate = algebra::IrPredicate::FooStyle(
         query.score->primary, query.score->desirable);
     TIX_ASSIGN_OR_RETURN(const std::unique_ptr<algebra::Scorer> scorer,
                          MakeScorerForClause(*query.score, predicate));
-    exec::ParallelTermJoinOptions term_join_options;
-    term_join_options.join.enhanced = options_.enhanced_term_join;
-    term_join_options.join.deadline = &options_.deadline;
-    term_join_options.num_threads = options_.num_threads;
-    TIX_ASSIGN_OR_RETURN(
-        const std::vector<exec::ScoredElement> scored,
-        RunScoringJoin(predicate, *scorer, term_join_options, &span));
+    TIX_ASSIGN_OR_RETURN(const std::vector<exec::ScoredElement> scored,
+                         RunScoringJoin(predicate, *scorer, std::nullopt,
+                                        exec::DocRange{}, &span));
     output.stats.scored_elements = scored.size();
     for (const storage::NodeId anchor : left_anchors) {
       TIX_ASSIGN_OR_RETURN(const storage::NodeRecord record,

@@ -12,8 +12,6 @@
 #include "common/obs.h"
 #include "common/result.h"
 #include "exec/parallel_term_join.h"
-#include "index/block_cache.h"
-#include "index/inverted_index.h"
 #include "index/segmented_index.h"
 #include "query/ast.h"
 #include "storage/database.h"
@@ -83,12 +81,6 @@ struct EngineOptions {
   /// way; only work saved differs. Disable to force the post-pass (the
   /// CLI's --no-pushdown, equivalence tests, benches).
   bool threshold_pushdown = true;
-  /// Capacity of the process-wide decoded-posting-block cache (the CLI's
-  /// --block-cache-mb). 0 disables caching: every block access on a
-  /// compressed list decodes. Applied at engine construction; the cache
-  /// is shared by every engine in the process, so the last-constructed
-  /// engine's setting wins.
-  size_t block_cache_bytes = index::kDefaultBlockCacheBytes;
   /// Query deadline, polled between pipeline stages and inside the
   /// TermJoin merge loop; execution aborts with Status::DeadlineExceeded
   /// once past it. Default-constructed = unlimited. The server sets this
@@ -106,30 +98,23 @@ struct EngineOptions {
   std::function<Status()> topk_floor_poll;
 };
 
+/// Executes against a pinned segmented-index snapshot — the one index
+/// view every caller serves from (a monolithic `index.tix` is opened
+/// through index::SegmentedIndex::Open, which adopts it as segment 0).
+/// The engine holds the shared_ptr, so the snapshot (and every segment
+/// it references) outlives the query even while ingestion and
+/// compaction publish newer generations. Score generation runs one
+/// TermJoin per segment (exec::SegmentedTermJoin), IDF is computed over
+/// the snapshot's live documents, and document names resolve to live
+/// documents only. Engines are cheap to construct: the database, the
+/// snapshot and the process-wide decoded-block cache behind them are the
+/// long-lived state.
 class QueryEngine {
  public:
-  QueryEngine(storage::Database* db, const index::InvertedIndex* index,
-              EngineOptions options = {})
-      : db_(db), index_(index), options_(options) {
-    index::DecodedBlockCache::Instance().Configure(options_.block_cache_bytes);
-  }
-
-  /// Snapshot mode: executes against a pinned segmented-index snapshot.
-  /// The engine holds the shared_ptr, so the snapshot (and every segment
-  /// it references) outlives the query even while ingestion and
-  /// compaction publish newer generations. Score generation runs one
-  /// TermJoin per segment (exec::SegmentedTermJoin), IDF is computed
-  /// over the snapshot's live documents, and document names resolve to
-  /// live documents only.
   QueryEngine(storage::Database* db,
               std::shared_ptr<const index::IndexSnapshot> snapshot,
               EngineOptions options = {})
-      : db_(db),
-        index_(nullptr),
-        snapshot_(std::move(snapshot)),
-        options_(options) {
-    index::DecodedBlockCache::Instance().Configure(options_.block_cache_bytes);
-  }
+      : db_(db), snapshot_(std::move(snapshot)), options_(options) {}
 
   /// Parses and executes.
   Result<QueryOutput> ExecuteText(std::string_view text);
@@ -148,29 +133,54 @@ class QueryEngine {
                                     obs::OperatorMetrics* plan);
   Result<QueryOutput> ExecuteJoin(const Query& query,
                                   obs::OperatorMetrics* plan);
+  /// The documents a query reads: one resolved document, or (unset, for
+  /// document("*")) every live document of the snapshot.
+  struct DocScope {
+    std::optional<storage::DocumentInfo> doc;
+  };
+  bool InScope(const DocScope& scope, storage::DocId doc_id) const {
+    return scope.doc.has_value() ? doc_id == scope.doc->doc_id
+                                 : snapshot_->IsLiveDocument(doc_id);
+  }
+
   Result<std::unique_ptr<algebra::Scorer>> MakeScorerForClause(
       const ScoreClause& clause, const algebra::IrPredicate& predicate) const;
-  /// IDF from the snapshot's live documents (snapshot mode) or the
-  /// monolithic index.
-  double TermIdf(std::string_view term) const;
-  /// Document-name lookup. In snapshot mode only live documents resolve
-  /// (first live match in doc order, matching the monolithic engine's
-  /// first-match rule over a database of the same live docs); deleted or
-  /// not-yet-ingested documents are NotFound.
+  /// IDF over the snapshot's live documents.
+  double TermIdf(std::string_view term) const {
+    return snapshot_->InverseDocumentFrequency(term);
+  }
+  /// Document-name lookup: only live documents resolve (the first live
+  /// match in doc order); deleted or not-yet-ingested documents are
+  /// NotFound.
   Result<storage::DocumentInfo> ResolveDocument(const std::string& name) const;
-  /// Runs the scoring join — ParallelTermJoin, or SegmentedTermJoin in
-  /// snapshot mode — and attaches its statistics to `span`.
+  /// The distinct in-scope bindings, ascending by node id, of the last
+  /// of `steps[0, count)` over every structural match of that path; with
+  /// `count` 0, the roots of the in-scope documents. Each binding is
+  /// fetched once per embedding that carries it (its record names its
+  /// document).
+  Result<std::vector<storage::NodeId>> MatchBindings(
+      const std::vector<PathStep>& steps, size_t count,
+      const DocScope& scope) const;
+  /// Opens the scoring join's EXPLAIN span — "TermJoin", or
+  /// "ParallelTermJoin" with worker threads — for the caller to hold
+  /// open across every step it charges to the join.
+  obs::OperatorSpan ScoringJoinSpan(
+      obs::OperatorMetrics* plan,
+      const std::optional<algebra::ThresholdSpec>& pushdown) const;
+  /// Runs SegmentedTermJoin over the snapshot, restricted to `range`,
+  /// and attaches its statistics to `span`. With `pushdown` set the join
+  /// keeps only that threshold's top-K, pruning against the shared floor
+  /// when the options carry one.
   Result<std::vector<exec::ScoredElement>> RunScoringJoin(
       const algebra::IrPredicate& predicate, const algebra::Scorer& scorer,
-      const exec::ParallelTermJoinOptions& join_options,
-      obs::OperatorSpan* span);
+      const std::optional<algebra::ThresholdSpec>& pushdown,
+      exec::DocRange range, obs::OperatorSpan* span);
   /// DeadlineExceeded naming `stage` once options_.deadline has passed;
   /// OK otherwise. Called between pipeline stages (TermJoin additionally
   /// polls mid-merge).
   Status CheckDeadline(const char* stage) const;
 
   storage::Database* db_;
-  const index::InvertedIndex* index_;
   std::shared_ptr<const index::IndexSnapshot> snapshot_;
   EngineOptions options_;
 };

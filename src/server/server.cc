@@ -87,24 +87,14 @@ class TixServer::AdmissionSlot {
   Status status_ = Status::OK();
 };
 
-TixServer::TixServer(storage::Database* db, const index::InvertedIndex* index,
-                     ServerOptions options)
-    : db_(db), index_(index), segmented_(nullptr), options_(std::move(options)) {
-  result_cache_ = std::make_unique<ResultCache>(options_.result_cache_bytes);
-}
-
 TixServer::TixServer(storage::Database* db, index::SegmentedIndex* segmented,
                      ServerOptions options)
-    : db_(db),
-      index_(nullptr),
-      segmented_(segmented),
-      options_(std::move(options)) {
+    : db_(db), segmented_(segmented), options_(std::move(options)) {
   result_cache_ = std::make_unique<ResultCache>(options_.result_cache_bytes);
 }
 
 TixServer::TixServer(ShardFleetOptions fleet, ServerOptions options)
     : db_(nullptr),
-      index_(nullptr),
       segmented_(nullptr),
       fleet_(std::make_unique<ShardFleet>(std::move(fleet))),
       options_(std::move(options)) {
@@ -310,16 +300,12 @@ Status TixServer::HandleQuery(int fd, const std::string& text, bool explain) {
   queries_.fetch_add(1, std::memory_order_relaxed);
   const std::string key = NormalizeQueryText(text);
 
-  // Live mode pins the snapshot *before* the cache lookup so the
-  // generation the cache is consulted at is exactly the one this query
-  // would execute at — a hit is provably current, and the entry a miss
-  // later inserts carries the generation of the snapshot it reflects.
-  std::shared_ptr<const index::IndexSnapshot> snapshot;
-  uint64_t generation = 0;
-  if (segmented_ != nullptr) {
-    snapshot = segmented_->Acquire();
-    generation = snapshot->generation();
-  }
+  // Pin the snapshot *before* the cache lookup so the generation the
+  // cache is consulted at is exactly the one this query would execute
+  // at — a hit is provably current, and the entry a miss later inserts
+  // carries the generation of the snapshot it reflects.
+  std::shared_ptr<const index::IndexSnapshot> snapshot = segmented_->Acquire();
+  const uint64_t generation = snapshot->generation();
 
   // Fast path: serve straight from the result cache — no admission
   // needed, a cache hit does no engine work. EXPLAIN always executes
@@ -375,12 +361,7 @@ Result<std::string> TixServer::ExecuteQuery(
   // (which reallocates storage) queues behind this shared hold. The
   // *index* view needs no lock — the pinned snapshot is immutable.
   std::shared_lock<std::shared_mutex> db_lock(db_mu_);
-  // Engines are cheap to construct: the database, index and decoded-
-  // block cache behind them are the long-lived shared state.
-  query::QueryEngine engine =
-      snapshot != nullptr
-          ? query::QueryEngine(db_, std::move(snapshot), engine_options)
-          : query::QueryEngine(db_, index_, engine_options);
+  query::QueryEngine engine(db_, std::move(snapshot), engine_options);
   TIX_ASSIGN_OR_RETURN(query::QueryOutput output, engine.ExecuteText(text));
   TIX_ASSIGN_OR_RETURN(std::string body,
                        engine.RenderXml(output, options_.render_limit));
@@ -450,8 +431,7 @@ Status TixServer::HandleShardQuery(int fd, const std::string& payload) {
   }
   // Pin the snapshot first for the same reason HandleQuery does; there
   // is no cache lookup here (the coordinator bypasses result caching).
-  std::shared_ptr<const index::IndexSnapshot> snapshot;
-  if (segmented_ != nullptr) snapshot = segmented_->Acquire();
+  std::shared_ptr<const index::IndexSnapshot> snapshot = segmented_->Acquire();
 
   AdmissionSlot slot(this);
   if (!slot.ok()) {
@@ -520,10 +500,7 @@ Result<std::string> TixServer::ExecuteShardQuery(
   }
 
   std::shared_lock<std::shared_mutex> db_lock(db_mu_);
-  query::QueryEngine engine =
-      snapshot != nullptr
-          ? query::QueryEngine(db_, std::move(snapshot), engine_options)
-          : query::QueryEngine(db_, index_, engine_options);
+  query::QueryEngine engine(db_, std::move(snapshot), engine_options);
   TIX_ASSIGN_OR_RETURN(const query::Query parsed,
                        query::ParseQuery(request.query));
   if (parsed.simjoin.has_value()) {
@@ -585,11 +562,6 @@ Status TixServer::HandleIngest(int fd, const std::string& payload) {
                       EncodeError(Status::InvalidArgument(
                           "coordinator mode: ingest on the shards directly")));
   }
-  if (segmented_ == nullptr) {
-    return WriteFrame(fd, FrameType::kError,
-                      EncodeError(Status::InvalidArgument(
-                          "server is read-only (no live index)")));
-  }
   if (payload.size() < 4) {
     return WriteFrame(
         fd, FrameType::kError,
@@ -640,11 +612,6 @@ Status TixServer::HandleDelete(int fd, const std::string& payload) {
                       EncodeError(Status::InvalidArgument(
                           "coordinator mode: delete on the shards directly")));
   }
-  if (segmented_ == nullptr) {
-    return WriteFrame(fd, FrameType::kError,
-                      EncodeError(Status::InvalidArgument(
-                          "server is read-only (no live index)")));
-  }
   if (payload.empty()) {
     return WriteFrame(
         fd, FrameType::kError,
@@ -682,11 +649,6 @@ Status TixServer::HandleCompact(int fd) {
     return WriteFrame(fd, FrameType::kError,
                       EncodeError(Status::InvalidArgument(
                           "coordinator mode: compact on the shards directly")));
-  }
-  if (segmented_ == nullptr) {
-    return WriteFrame(fd, FrameType::kError,
-                      EncodeError(Status::InvalidArgument(
-                          "server is read-only (no live index)")));
   }
   // Seal reads the database (building the segment from stored docs);
   // shared suffices — concurrent queries read the same structures, and

@@ -15,7 +15,6 @@
 #include "common/obs.h"
 #include "common/result.h"
 #include "common/thread_pool.h"
-#include "index/inverted_index.h"
 #include "index/segmented_index.h"
 #include "query/engine.h"
 #include "server/coordinator.h"
@@ -33,16 +32,17 @@
 /// per-query EXPLAIN stays exact under concurrency while server totals
 /// roll up for free).
 ///
-/// Two index modes. With a monolithic InvertedIndex the server is
-/// read-only and a cached response never goes stale. With a
-/// SegmentedIndex the server additionally accepts INGEST / DELETE /
-/// COMPACT frames: each query pins an index snapshot for its whole run
-/// (so concurrent mutations never change its view), result-cache
-/// entries are stamped with the snapshot generation (stale ones evict
-/// lazily), and a one-thread maintenance pool compacts small segments
-/// in the background. The database itself is guarded by a
+/// Two modes. A data server serves a SegmentedIndex and accepts
+/// INGEST / DELETE / COMPACT frames: each query pins an index snapshot
+/// for its whole run (so concurrent mutations never change its view),
+/// result-cache entries are stamped with the snapshot generation (stale
+/// ones evict lazily), and a one-thread maintenance pool compacts small
+/// segments in the background. The database itself is guarded by a
 /// shared_mutex — queries share it, ingestion takes it exclusively —
-/// because Database::AddDocument mutates storage that queries read.
+/// because Database::AddDocument mutates storage that queries read. A
+/// monolithic `index.tix` is served the same way: SegmentedIndex::Open
+/// adopts it in place as segment 0. A coordinator holds no data and
+/// fans queries out to a shard fleet (docs/SHARDING.md).
 ///
 /// Overload degrades to fast rejection, never collapse: connections
 /// beyond `max_sessions` get an immediate busy error, queries beyond
@@ -80,8 +80,8 @@ struct ServerOptions {
   size_t result_cache_bytes = 8u << 20;
   /// Max results rendered into one response (tix_cli's --limit).
   size_t render_limit = 10;
-  /// Per-query engine knobs (threads, pushdown, block cache). The
-  /// deadline and collect_metrics fields are overwritten per request.
+  /// Per-query engine knobs (threads, pushdown). The deadline and
+  /// collect_metrics fields are overwritten per request.
   query::EngineOptions engine;
   /// Doc-id namespacing for a shard member of a scatter-gather fleet
   /// (docs/SHARDING.md): kQueryShard responses report global doc ids
@@ -115,12 +115,7 @@ struct ServerStats {
 
 class TixServer {
  public:
-  /// `db` and `index` must outlive the server and are shared read-only
-  /// by every session.
-  TixServer(storage::Database* db, const index::InvertedIndex* index,
-            ServerOptions options);
-
-  /// Live-index mode: serves queries against per-query snapshots of
+  /// Data server: serves queries against per-query snapshots of
   /// `segmented` and accepts INGEST / DELETE / COMPACT frames. `db` and
   /// `segmented` must outlive the server; the server owns all mutation
   /// of both while running.
@@ -179,7 +174,7 @@ class TixServer {
   /// Executes against a per-request engine; returns the rendered
   /// response payload. `deadline` is the query's execution budget,
   /// started when the query was admitted. `snapshot` is the pinned
-  /// index view in live mode (null = monolithic index_).
+  /// index view.
   Result<std::string> ExecuteQuery(
       const std::string& text, bool explain, const Deadline& deadline,
       std::shared_ptr<const index::IndexSnapshot> snapshot);
@@ -211,16 +206,14 @@ class TixServer {
   class AdmissionSlot;
 
   storage::Database* const db_;
-  const index::InvertedIndex* const index_;   ///< Monolithic mode.
-  index::SegmentedIndex* const segmented_;    ///< Live mode (else null).
-  /// Coordinator mode (else null; db_/index_/segmented_ are null then).
+  index::SegmentedIndex* const segmented_;
+  /// Coordinator mode (else null; db_ and segmented_ are null then).
   std::unique_ptr<ShardFleet> fleet_;
   const ServerOptions options_;
 
-  /// Guards the database in live mode: queries hold it shared for their
-  /// whole execution, ingestion exclusively (AddDocument reallocates
-  /// storage that queries read). Monolithic mode never writes, so the
-  /// shared acquisitions are uncontended.
+  /// Guards the database: queries hold it shared for their whole
+  /// execution, ingestion exclusively (AddDocument reallocates storage
+  /// that queries read).
   mutable std::shared_mutex db_mu_;
 
   int listen_fd_ = -1;
@@ -229,7 +222,7 @@ class TixServer {
   std::atomic<bool> stopping_{false};
   std::thread accept_thread_;
   std::unique_ptr<ThreadPool> pool_;
-  /// One background thread for segment compaction (live mode only).
+  /// One background thread for segment compaction (data server only).
   std::unique_ptr<ThreadPool> maintenance_pool_;
   std::unique_ptr<ResultCache> result_cache_;
 

@@ -132,6 +132,23 @@ TEST_F(PaperExampleExec, LengthNormalizedScorerAgreesAcrossMethods) {
   ExpectSameElements(Unwrap(comp2.Run()), tj, "bm25-comp2");
 }
 
+TEST_F(PaperExampleExec, TermJoinStreamsBeforeInputExhausted) {
+  // Non-blocking check: the first element must arrive after consuming
+  // only part of the posting input (strictly fewer occurrences than the
+  // total).
+  TermJoin join(db_.get(), index_.get(), &predicate_, simple_.get());
+  ExpectOk(join.Open());
+  const auto first = Unwrap(join.Next());
+  ASSERT_TRUE(first.has_value());
+  uint64_t total = 0;
+  for (const auto& phrase : predicate_.phrases) {
+    if (phrase.terms.size() == 1) {
+      total += index_->TermFrequency(phrase.terms[0]);
+    }
+  }
+  EXPECT_LT(join.stats().occurrences, total);
+}
+
 TEST_F(PaperExampleExec, GenMeetMatchesTermJoin) {
   for (const algebra::Scorer* scorer :
        {simple_.get(), complex_.get()}) {
@@ -377,6 +394,26 @@ TEST_F(PaperExampleExec, SemiJoinOrSelf) {
   EXPECT_EQ(SemiJoinDescendants(sections, sections, /*or_self=*/true).size(),
             3u);
   EXPECT_TRUE(SemiJoinDescendants(sections, sections, false).empty());
+
+  // Nested anchors: a candidate equal to the inner anchor still lies
+  // strictly inside the outer one, so only the outer anchor's own
+  // interval is rejected without or-self.
+  auto element = [](storage::NodeId node, uint32_t start, uint32_t end) {
+    ScoredElement out;
+    out.node = node;
+    out.start = start;
+    out.end = end;
+    return out;
+  };
+  const std::vector<ScoredElement> anchors = {element(10, 0, 100),
+                                              element(12, 4, 20)};
+  const std::vector<ScoredElement> candidates = {
+      element(10, 0, 100), element(12, 4, 20), element(13, 5, 6)};
+  const auto strict = SemiJoinDescendants(candidates, anchors, false);
+  ASSERT_EQ(strict.size(), 2u);
+  EXPECT_EQ(strict[0].node, 12u);
+  EXPECT_EQ(strict[1].node, 13u);
+  EXPECT_EQ(SemiJoinDescendants(candidates, anchors, true).size(), 3u);
 }
 
 // -------------------------------------------------------------- Threshold

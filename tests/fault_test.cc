@@ -65,10 +65,9 @@ Status OpenAndQuery(const std::string& dir, size_t pool_pages = 64,
   auto db_result = Database::Open(dir, options);
   if (!db_result.ok()) return db_result.status();
   std::unique_ptr<Database> db = std::move(db_result).value();
-  auto index_result = index::InvertedIndex::LoadFromFile(dir + "/index.tix");
+  auto index_result = index::SegmentedIndex::Open(dir);
   if (!index_result.ok()) return index_result.status();
-  index::InvertedIndex index = std::move(index_result).value();
-  query::QueryEngine engine(db.get(), &index);
+  query::QueryEngine engine(db.get(), index_result.value()->Acquire());
   auto output = engine.ExecuteText(kProbeQuery);
   if (!output.ok()) return output.status();
   auto xml = engine.RenderXml(output.value());
@@ -350,9 +349,8 @@ TEST(LegacyFormatTest, V2DatabaseOpensAndQueriesIdentically) {
   // Baseline: results from the v3 database.
   DatabaseOptions options;
   auto db = Unwrap(Database::Open(dir.path(), options));
-  index::InvertedIndex index =
-      Unwrap(index::InvertedIndex::LoadFromFile(dir.path() + "/index.tix"));
-  query::QueryEngine engine(db.get(), &index);
+  const auto index = Unwrap(index::SegmentedIndex::Open(dir.path()));
+  query::QueryEngine engine(db.get(), index->Acquire());
   const query::QueryOutput baseline = Unwrap(engine.ExecuteText(kProbeQuery));
   db.reset();
 
@@ -373,7 +371,7 @@ TEST(LegacyFormatTest, V2DatabaseOpensAndQueriesIdentically) {
 
   auto legacy_db = Unwrap(Database::Open(dir.path(), options));
   EXPECT_FALSE(legacy_db->node_store().file()->checksummed());
-  query::QueryEngine legacy_engine(legacy_db.get(), &index);
+  query::QueryEngine legacy_engine(legacy_db.get(), index->Acquire());
   const query::QueryOutput legacy = Unwrap(legacy_engine.ExecuteText(kProbeQuery));
 
   ASSERT_EQ(legacy.results.size(), baseline.results.size());

@@ -73,8 +73,10 @@ TEST_F(CorpusIntegrationTest, PersistAndReopenEverything) {
   EXPECT_EQ(reopened->num_nodes(), nodes_before);
   EXPECT_EQ(reloaded_index.TermFrequency("xhot"), 300u);
 
-  // A full query pipeline works on the reopened database.
-  query::QueryEngine engine(reopened.get(), &reloaded_index);
+  // A full query pipeline works on the reopened database, serving the
+  // saved index.tix adopted in place as segment 0.
+  auto segmented = Unwrap(index::SegmentedIndex::Open(dir_.path()));
+  query::QueryEngine engine(reopened.get(), segmented->Acquire());
   const auto output = Unwrap(engine.ExecuteText(R"(
       FOR $a IN document("article0.xml")//article//*
       SCORE $a USING foo({"xhot"})
@@ -210,9 +212,10 @@ class PaperStoryTest : public ::testing::Test {
   void SetUp() override {
     db_ = MakeTestDatabase(dir_.path());
     ExpectOk(workload::LoadPaperExample(db_.get()));
-    index_ = std::make_unique<index::InvertedIndex>(
-        Unwrap(index::InvertedIndex::Build(db_.get())));
-    engine_ = std::make_unique<query::QueryEngine>(db_.get(), index_.get());
+    segmented_ = testing::AdoptIndex(
+        dir_.path(), Unwrap(index::InvertedIndex::Build(db_.get())));
+    engine_ = std::make_unique<query::QueryEngine>(db_.get(),
+                                                   segmented_->Acquire());
   }
 
   std::string TagOf(storage::NodeId node) {
@@ -222,7 +225,7 @@ class PaperStoryTest : public ::testing::Test {
 
   TempDir dir_;
   std::unique_ptr<storage::Database> db_;
-  std::unique_ptr<index::InvertedIndex> index_;
+  std::unique_ptr<index::SegmentedIndex> segmented_;
   std::unique_ptr<query::QueryEngine> engine_;
 };
 

@@ -206,13 +206,13 @@ class EnginePlanTest : public ::testing::Test {
   void SetUp() override {
     db_ = MakeTestDatabase(dir_.path());
     ExpectOk(workload::LoadPaperExample(db_.get()));
-    index_ = std::make_unique<index::InvertedIndex>(
-        Unwrap(index::InvertedIndex::Build(db_.get())));
+    segmented_ = testing::AdoptIndex(
+        dir_.path(), Unwrap(index::InvertedIndex::Build(db_.get())));
   }
 
   query::QueryOutput Run(const std::string& text,
                          query::EngineOptions options = {}) {
-    query::QueryEngine engine(db_.get(), index_.get(), options);
+    query::QueryEngine engine(db_.get(), segmented_->Acquire(), options);
     return Unwrap(engine.ExecuteText(text));
   }
 
@@ -227,7 +227,7 @@ class EnginePlanTest : public ::testing::Test {
 
   TempDir dir_;
   std::unique_ptr<storage::Database> db_;
-  std::unique_ptr<index::InvertedIndex> index_;
+  std::unique_ptr<index::SegmentedIndex> segmented_;
 };
 
 constexpr char kScoredQuery[] = R"(
@@ -337,7 +337,7 @@ TEST_F(EnginePlanTest, ConcurrentQueriesSeeOnlyTheirOwnFetches) {
   std::vector<std::string> failures(queries.size());
   for (size_t q = 0; q < queries.size(); ++q) {
     workers.emplace_back([&, q] {
-      query::QueryEngine engine(db_.get(), index_.get(), options);
+      query::QueryEngine engine(db_.get(), segmented_->Acquire(), options);
       for (int i = 0; i < kIterations; ++i) {
         auto result = engine.ExecuteText(queries[q]);
         if (!result.ok()) {

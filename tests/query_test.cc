@@ -125,9 +125,9 @@ class EngineTest : public ::testing::Test {
   void SetUp() override {
     db_ = MakeTestDatabase(dir_.path());
     ExpectOk(workload::LoadPaperExample(db_.get()));
-    index_ = std::make_unique<index::InvertedIndex>(
-        Unwrap(index::InvertedIndex::Build(db_.get())));
-    engine_ = std::make_unique<QueryEngine>(db_.get(), index_.get());
+    segmented_ = testing::AdoptIndex(
+        dir_.path(), Unwrap(index::InvertedIndex::Build(db_.get())));
+    engine_ = std::make_unique<QueryEngine>(db_.get(), segmented_->Acquire());
   }
 
   std::string TagOf(storage::NodeId node) {
@@ -137,7 +137,7 @@ class EngineTest : public ::testing::Test {
 
   TempDir dir_;
   std::unique_ptr<storage::Database> db_;
-  std::unique_ptr<index::InvertedIndex> index_;
+  std::unique_ptr<index::SegmentedIndex> segmented_;
   std::unique_ptr<QueryEngine> engine_;
 };
 
@@ -284,7 +284,7 @@ TEST_F(EngineTest, RenderXmlEmitsResults) {
 TEST_F(EngineTest, EnhancedEngineAgreesWithPlain) {
   EngineOptions options;
   options.enhanced_term_join = true;
-  QueryEngine enhanced(db_.get(), index_.get(), options);
+  QueryEngine enhanced(db_.get(), segmented_->Acquire(), options);
   const QueryOutput a = Unwrap(engine_->ExecuteText(kQuery2Text));
   const QueryOutput b = Unwrap(enhanced.ExecuteText(kQuery2Text));
   ASSERT_EQ(a.results.size(), b.results.size());

@@ -19,8 +19,11 @@
 #include <cstddef>
 #include <cstdint>
 #include <filesystem>
+#include <fstream>
+#include <map>
 #include <memory>
 #include <random>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <utility>
@@ -199,15 +202,16 @@ void ExpectEquivalence(storage::Database* segmented_db,
     auto parsed = Unwrap(xml::ParseXml(doc.xml, doc.name));
     Unwrap(baseline_db->AddDocument(parsed));
   }
-  auto baseline_index = Unwrap(index::InvertedIndex::Build(baseline_db.get()));
+  const auto baseline_index = testing::AdoptIndex(
+      scratch_dir, Unwrap(index::InvertedIndex::Build(baseline_db.get())));
   const auto snapshot = segmented->Acquire();
 
   for (const size_t threads : {size_t{0}, size_t{2}, size_t{4}}) {
     query::EngineOptions options;
     options.num_threads = threads;
     query::QueryEngine segmented_engine(segmented_db, snapshot, options);
-    query::QueryEngine baseline_engine(baseline_db.get(), &baseline_index,
-                                       options);
+    query::QueryEngine baseline_engine(baseline_db.get(),
+                                       baseline_index->Acquire(), options);
     // Spot-check a few live docs, not all: the fuzz loop calls this
     // repeatedly and the query set is 5 wide x 3 thread counts deep.
     for (size_t d = 0; d < live.size(); d += (live.size() / 3) + 1) {
@@ -452,6 +456,21 @@ TEST(SegmentedIndexTest, RecoverReBuffersUnsealedDocuments) {
   ExpectEquivalence(db.get(), segmented.get(), docs, dir.path() + "/base");
 }
 
+/// Every regular file under `dir` (relative path -> bytes).
+std::map<std::string, std::string> DirectoryBytes(const std::string& dir) {
+  std::map<std::string, std::string> files;
+  for (const auto& entry :
+       std::filesystem::recursive_directory_iterator(dir)) {
+    if (!entry.is_regular_file()) continue;
+    std::ifstream in(entry.path(), std::ios::binary);
+    std::ostringstream bytes;
+    bytes << in.rdbuf();
+    files[std::filesystem::relative(entry.path(), dir).string()] =
+        bytes.str();
+  }
+  return files;
+}
+
 TEST(SegmentedIndexTest, AdoptsMonolithicIndexInPlace) {
   TempDir dir;
   auto db = MakeTestDatabase(dir.path(), 256);
@@ -466,12 +485,19 @@ TEST(SegmentedIndexTest, AdoptsMonolithicIndexInPlace) {
   ExpectOk(db->Save());
   auto monolithic = Unwrap(index::InvertedIndex::Build(db.get()));
   ExpectOk(monolithic.SaveToFile(dir.path() + "/index.tix"));
+  const auto saved = DirectoryBytes(dir.path());
 
   // Open adopts index.tix as segment 0 without rewriting its bytes.
+  TempDir baselines;
   auto segmented = Unwrap(index::SegmentedIndex::Open(dir.path()));
   ExpectOk(segmented->Recover(db.get()));
   EXPECT_EQ(segmented->Stats().num_segments, 1u);
-  ExpectEquivalence(db.get(), segmented.get(), docs, dir.path() + "/base0");
+  ExpectEquivalence(db.get(), segmented.get(), docs,
+                    baselines.path() + "/base0");
+  // Serving the adopted index reads only: until the first mutation no
+  // manifest or segment is written and no byte changes.
+  EXPECT_TRUE(DirectoryBytes(dir.path()) == saved);
+  EXPECT_TRUE(index::LoadManifest(dir.path()).status().IsNotFound());
 
   // And the adopted index keeps working as the first segment of a
   // growing, mutating index.
@@ -483,7 +509,8 @@ TEST(SegmentedIndexTest, AdoptsMonolithicIndexInPlace) {
   docs.erase(docs.begin());
   ExpectOk(segmented->Seal(db.get()));
   ExpectOk(segmented->Compact());
-  ExpectEquivalence(db.get(), segmented.get(), docs, dir.path() + "/base1");
+  ExpectEquivalence(db.get(), segmented.get(), docs,
+                    baselines.path() + "/base1");
 }
 
 // ---------------------------------------------------------------------------

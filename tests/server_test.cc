@@ -244,8 +244,8 @@ class ServerTest : public ::testing::Test {
     options.seed = 7;
     options.planted_terms = {{"xhot", 200}, {"xwarm", 40}, {"xcold", 5}};
     Unwrap(workload::GenerateCorpus(db_.get(), options));
-    index_ = std::make_unique<index::InvertedIndex>(
-        Unwrap(index::InvertedIndex::Build(db_.get())));
+    segmented_ = testing::AdoptIndex(
+        dir_.path(), Unwrap(index::InvertedIndex::Build(db_.get())));
   }
 
   /// The canonical queries used across the equivalence tests.
@@ -265,7 +265,7 @@ class ServerTest : public ::testing::Test {
   /// What the server should answer for `text`: the same header +
   /// RenderXml the direct engine produces.
   std::string DirectAnswer(const std::string& text, size_t limit = 10) {
-    query::QueryEngine engine(db_.get(), index_.get());
+    query::QueryEngine engine(db_.get(), segmented_->Acquire());
     const query::QueryOutput output = Unwrap(engine.ExecuteText(text));
     std::string expected = StrFormat(
         "%zu results (anchors %llu, scored %llu)\n", output.results.size(),
@@ -277,7 +277,7 @@ class ServerTest : public ::testing::Test {
 
   std::unique_ptr<TixServer> StartServer(ServerOptions options = {}) {
     auto server =
-        std::make_unique<TixServer>(db_.get(), index_.get(), options);
+        std::make_unique<TixServer>(db_.get(), segmented_.get(), options);
     ExpectOk(server->Start());
     return server;
   }
@@ -288,7 +288,7 @@ class ServerTest : public ::testing::Test {
 
   TempDir dir_;
   std::unique_ptr<storage::Database> db_;
-  std::unique_ptr<index::InvertedIndex> index_;
+  std::unique_ptr<index::SegmentedIndex> segmented_;
 };
 
 TEST_F(ServerTest, PingAndStats) {
@@ -298,9 +298,31 @@ TEST_F(ServerTest, PingAndStats) {
   const std::string json = Unwrap(client.Stats());
   for (const char* key :
        {"\"server\":", "\"result_cache\":", "\"block_cache\":", "\"work\":",
-        "\"queries\":", "\"hits\":", "\"connections_accepted\":"}) {
+        "\"queries\":", "\"hits\":", "\"connections_accepted\":",
+        "\"index\":{"}) {
     EXPECT_NE(json.find(key), std::string::npos) << key << " in " << json;
   }
+
+  // The contract a STATS reader relies on: it cuts a section at the
+  // first '}' after `"name":{`, so a section must be flat and carry
+  // every key the reader looks up, or a metric silently vanishes.
+  const auto section = [&json](const std::string& name) -> std::string {
+    const size_t open = json.find("\"" + name + "\":{");
+    if (open == std::string::npos) return "";
+    const size_t body = open + name.size() + 4;
+    return json.substr(body, json.find('}', body) - body);
+  };
+  const std::string work = section("work");
+  EXPECT_EQ(work.find('{'), std::string::npos) << json;
+  for (const char* key :
+       {"record_fetches", "text_bytes_read", "index_blocks_scanned",
+        "index_blocks_decoded", "index_block_cache_hits",
+        "term_join_occurrences", "topk_postings_pruned"}) {
+    EXPECT_NE(work.find("\"" + std::string(key) + "\":"), std::string::npos)
+        << key << " in " << json;
+  }
+  EXPECT_NE(section("result_cache").find("\"hits\":"), std::string::npos)
+      << json;
 }
 
 TEST_F(ServerTest, QueryMatchesDirectEngineByteForByte) {

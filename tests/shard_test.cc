@@ -186,7 +186,7 @@ TEST(ShardListTest, ParsesAndValidates) {
 /// the corpus, plus a coordinator fronting them.
 struct Fleet {
   std::vector<std::unique_ptr<storage::Database>> dbs;
-  std::vector<std::unique_ptr<index::InvertedIndex>> indexes;
+  std::vector<std::unique_ptr<index::SegmentedIndex>> indexes;
   std::vector<std::unique_ptr<TixServer>> shards;
   std::unique_ptr<TixServer> coordinator;
 
@@ -229,17 +229,21 @@ class ShardTest : public ::testing::Test {
     ShardFleetOptions fleet_options;
     fleet_options.floor_gossip = gossip;
     fleet_options.io_timeout_ms = io_timeout_ms;
+    // Every shard of every fleet gets its own directory: a test may run
+    // two fleets of the same width side by side.
+    const size_t fleet_id = fleets_made_++;
     for (size_t i = 0; i < n; ++i) {
-      auto db = MakeTestDatabase(
-          dir_.path() + "/s" + std::to_string(n) + "_" + std::to_string(i),
-          256);
+      const std::string shard_dir = dir_.path() + "/f" +
+                                    std::to_string(fleet_id) + "_s" +
+                                    std::to_string(i);
+      auto db = MakeTestDatabase(shard_dir, 256);
       for (size_t g = i; g < documents_.size(); g += n) {
         const auto parsed = Unwrap(
             xml::ParseXml(documents_[g].second, documents_[g].first));
         Unwrap(db->AddDocument(parsed));
       }
-      auto index = std::make_unique<index::InvertedIndex>(
-          Unwrap(index::InvertedIndex::Build(db.get())));
+      auto index = testing::AdoptIndex(
+          shard_dir, Unwrap(index::InvertedIndex::Build(db.get())));
       ServerOptions options = shard_options;
       options.shard_id = static_cast<uint32_t>(i);
       options.shard_count = static_cast<uint32_t>(n);
@@ -303,6 +307,7 @@ class ShardTest : public ::testing::Test {
 
   TempDir dir_;
   std::vector<std::pair<std::string, std::string>> documents_;
+  size_t fleets_made_ = 0;
 };
 
 TEST_F(ShardTest, SerialEqualsShardedAtEveryShardCount) {

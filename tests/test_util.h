@@ -9,6 +9,8 @@
 #include <gtest/gtest.h>
 
 #include "common/result.h"
+#include "index/inverted_index.h"
+#include "index/segmented_index.h"
 #include "storage/database.h"
 
 /// \file
@@ -46,6 +48,15 @@ T Unwrap(Result<T> result) {
 
 inline void ExpectOk(const Status& status) {
   EXPECT_TRUE(status.ok()) << status.ToString();
+}
+
+/// Saves `built` as `dir`/index.tix and opens `dir` as a segmented
+/// index, which adopts the file in place as segment 0 — the way a built
+/// monolithic index is served.
+inline std::unique_ptr<index::SegmentedIndex> AdoptIndex(
+    const std::string& dir, const index::InvertedIndex& built) {
+  ExpectOk(built.SaveToFile(dir + "/index.tix"));
+  return Unwrap(index::SegmentedIndex::Open(dir));
 }
 
 /// Creates a fresh database in `dir` with a small buffer pool so paging

@@ -549,14 +549,14 @@ class EnginePushdownTest : public ::testing::Test {
   void SetUp() override {
     db_ = MakeTestDatabase(dir_.path());
     ExpectOk(workload::LoadPaperExample(db_.get()));
-    index_ = std::make_unique<index::InvertedIndex>(
-        Unwrap(index::InvertedIndex::Build(db_.get())));
+    segmented_ = testing::AdoptIndex(
+        dir_.path(), Unwrap(index::InvertedIndex::Build(db_.get())));
   }
 
   query::QueryOutput Run(std::string_view text, bool pushdown) {
     query::EngineOptions options;
     options.threshold_pushdown = pushdown;
-    query::QueryEngine engine(db_.get(), index_.get(), options);
+    query::QueryEngine engine(db_.get(), segmented_->Acquire(), options);
     return Unwrap(engine.ExecuteText(text));
   }
 
@@ -574,7 +574,7 @@ class EnginePushdownTest : public ::testing::Test {
 
   TempDir dir_;
   std::unique_ptr<storage::Database> db_;
-  std::unique_ptr<index::InvertedIndex> index_;
+  std::unique_ptr<index::SegmentedIndex> segmented_;
 };
 
 TEST_F(EnginePushdownTest, ResultsIdenticalWithAndWithoutPushdown) {
@@ -631,7 +631,7 @@ TEST_F(EnginePushdownTest, ResultsIdenticalWithAndWithoutPushdown) {
 TEST_F(EnginePushdownTest, ExplainShowsPushdownAndPruneCounters) {
   query::EngineOptions options;
   options.collect_metrics = true;
-  query::QueryEngine engine(db_.get(), index_.get(), options);
+  query::QueryEngine engine(db_.get(), segmented_->Acquire(), options);
   const query::QueryOutput output = Unwrap(engine.ExecuteText(R"(
       FOR $a IN document("articles.xml")//*
       SCORE $a USING foo({"search engine"}, {"internet"})

@@ -43,15 +43,17 @@
 // cardinalities and storage counters) after the results; --stats-json
 // prints only the plan tree as JSON (schema: docs/OBSERVABILITY.md).
 //
-// Two indexing modes share the query path. `index` builds one
-// monolithic index.tix (and clears any segmented state — the rebuild
-// covers everything, so stale segments must not shadow it). `ingest` /
+// Two ways to build, one way to query. `index` builds one monolithic
+// index.tix (and clears any segmented state — the rebuild covers
+// everything, so stale segments must not shadow it). `ingest` /
 // `delete` / `compact` drive the segmented live index (docs/INDEX.md):
 // ingest appends documents and buffers them (sealed into segment files
 // at the configured thresholds; unsealed docs are re-buffered from the
 // database on the next open), delete tombstones, compact force-seals
-// and merges. `query`, `stats` and `verify` use the manifest when one
-// exists and fall back to index.tix otherwise.
+// and merges. `query` always reads the segmented index, which adopts a
+// monolithic index.tix in place as segment 0 when no manifest exists;
+// `stats` and `verify` use the manifest when one exists and read
+// index.tix otherwise.
 //
 // A typical session:
 //   tix_cli load  --db=/tmp/db docs/*.xml
@@ -62,7 +64,6 @@
 #include <cstdio>
 #include <cstring>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -482,25 +483,12 @@ int CmdQuery(const Args& args) {
   engine_options.num_threads = args.threads;
   engine_options.collect_metrics = args.explain || args.stats_json;
   engine_options.threshold_pushdown = !args.no_pushdown;
-  engine_options.block_cache_bytes = args.block_cache_bytes;
-  // A manifest means the segmented index is authoritative: query a
-  // pinned snapshot of it. Otherwise fall back to monolithic index.tix.
-  std::unique_ptr<tix::index::SegmentedIndex> segmented;
-  std::optional<tix::index::InvertedIndex> index;
-  const auto manifest_probe = tix::index::LoadManifest(args.db_dir);
-  if (manifest_probe.ok()) {
-    segmented = OpenSegmented(args, db.get());
-  } else if (manifest_probe.status().IsNotFound()) {
-    index = Check(tix::index::InvertedIndex::LoadFromFile(
-        IndexPath(args.db_dir), LoadOptions(args)));
-  } else {
-    Die(manifest_probe.status());
-  }
-  tix::query::QueryEngine engine =
-      segmented != nullptr
-          ? tix::query::QueryEngine(db.get(), segmented->Acquire(),
-                                    engine_options)
-          : tix::query::QueryEngine(db.get(), &index.value(), engine_options);
+  // Query a pinned snapshot of the segmented index. Without a manifest,
+  // Open adopts a monolithic index.tix in place as segment 0; nothing is
+  // written either way.
+  const auto segmented = OpenSegmented(args, db.get());
+  tix::query::QueryEngine engine(db.get(), segmented->Acquire(),
+                                 engine_options);
   const auto output = Check(engine.ExecuteText(args.positional[0]));
   if (args.stats_json) {
     // Machine-readable mode: the plan JSON is the whole output.
@@ -678,6 +666,7 @@ int CmdVerify(const Args& args) {
 int main(int argc, char** argv) {
   const Args args = ParseArgs(argc, argv);
   if (args.command.empty() || args.db_dir.empty()) return Usage();
+  tix::index::DecodedBlockCache::Instance().Configure(args.block_cache_bytes);
   if (args.command == "load") return CmdLoad(args);
   if (args.command == "index") return CmdIndex(args);
   if (args.command == "ingest") return CmdIngest(args);

@@ -85,6 +85,7 @@ int main(int argc, char** argv) {
   bool coordinator = false;
   uint64_t shard_id = 0;
   uint64_t shard_count = 1;
+  size_t block_cache_bytes = tix::index::kDefaultBlockCacheBytes;
   tix::server::ServerOptions options;
   tix::server::ShardFleetOptions fleet_options;
   for (int i = 1; i < argc; ++i) {
@@ -106,8 +107,7 @@ int main(int argc, char** argv) {
                ParseUint64Flag(arg, "timeout-ms", &options.query_timeout_ms) ||
                ParseMiBFlag(arg, "result-cache-mb",
                             &options.result_cache_bytes) ||
-               ParseMiBFlag(arg, "block-cache-mb",
-                            &options.engine.block_cache_bytes) ||
+               ParseMiBFlag(arg, "block-cache-mb", &block_cache_bytes) ||
                ParseSizeFlag(arg, "threads", &options.engine.num_threads) ||
                ParseSizeFlag(arg, "limit", &options.render_limit) ||
                ParseUint64Flag(arg, "shard-id", &shard_id) ||
@@ -136,6 +136,8 @@ int main(int argc, char** argv) {
   }
   options.shard_id = static_cast<uint32_t>(shard_id);
   options.shard_count = static_cast<uint32_t>(shard_count);
+  // One process-wide decoded-block cache, sized once for every session.
+  tix::index::DecodedBlockCache::Instance().Configure(block_cache_bytes);
 
   // Shard-mode state (unused by the coordinator, which holds no data).
   std::unique_ptr<tix::storage::Database> db;
